@@ -249,44 +249,10 @@ BENCHMARK(BM_EstimatorViewSweep<estimate::SubrangeEstimator>);
 BENCHMARK(BM_EstimatorViewSweep<estimate::BasicEstimator>);
 BENCHMARK(BM_EstimatorViewSweep<estimate::AdaptiveEstimator>);
 
-// --- Expansion kernels (scalar vs AVX2) --------------------------------
-
-// ns/estimate with the cross-factor kernel pinned. The AVX2 kernel is
-// bit-identical to scalar (FMA identities keep one rounding per lane), so
-// any delta here is pure throughput.
-void BM_EstimatorKernel(benchmark::State& state) {
-  const auto& f = GetD1();
-  estimate::ExpandKernel want = state.range(0) == 0
-                                    ? estimate::ExpandKernel::kScalar
-                                    : estimate::ExpandKernel::kAvx2;
-  if (!estimate::SetExpandKernel(want)) {
-    state.SkipWithError("kernel unavailable on this host");
-    return;
-  }
-  estimate::SubrangeEstimator est;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const ir::Query& q = f.queries[i++ % f.queries.size()];
-    auto u = est.Estimate(f.rep, q, 0.2);
-    benchmark::DoNotOptimize(u);
-  }
-  estimate::SetExpandKernel(estimate::ExpandKernel::kAuto);
-}
-BENCHMARK(BM_EstimatorKernel)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"avx2"});
+// --- Expansion -----------------------------------------------------------
 
 void BM_ExpansionKernel(benchmark::State& state) {
-  // 6 terms x 10 subranges, kernel pinned: the polynomial-product inner
-  // loop the SIMD path accelerates.
-  estimate::ExpandKernel want = state.range(0) == 0
-                                    ? estimate::ExpandKernel::kScalar
-                                    : estimate::ExpandKernel::kAvx2;
-  if (!estimate::SetExpandKernel(want)) {
-    state.SkipWithError("kernel unavailable on this host");
-    return;
-  }
+  // 6 terms x 10 subranges: the polynomial product alone.
   std::vector<estimate::TermPolynomial> factors(6);
   for (std::size_t t = 0; t < factors.size(); ++t) {
     for (std::size_t k = 0; k < 10; ++k) {
@@ -298,9 +264,8 @@ void BM_ExpansionKernel(benchmark::State& state) {
     auto dist = estimate::SimilarityDistribution::Expand(factors);
     benchmark::DoNotOptimize(dist);
   }
-  estimate::SetExpandKernel(estimate::ExpandKernel::kAuto);
 }
-BENCHMARK(BM_ExpansionKernel)->Arg(0)->Arg(1)->ArgNames({"avx2"});
+BENCHMARK(BM_ExpansionKernel);
 
 void BM_ExactEvaluation(benchmark::State& state) {
   const auto& f = GetD1();

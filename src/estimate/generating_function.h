@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -30,28 +31,6 @@ struct Spike {
   double exponent = 0.0;
   double prob = 0.0;
 };
-
-/// Which inner-loop implementation ExpandCore's factor cross-product uses.
-/// kAuto picks AVX2+FMA when the CPU supports it, scalar otherwise. The
-/// AVX2 kernel is bit-identical to the scalar one: it computes the spike
-/// adds/multiplies as fma(x, 1.0, y) and fma(x, y, 0.0), which round
-/// exactly like the scalar `x + y` and `x * y`, and emits spikes in the
-/// same order, so the order-sensitive canonicalization downstream sees
-/// identical input.
-enum class ExpandKernel {
-  kAuto,
-  kScalar,
-  kAvx2,
-};
-
-/// Forces the expansion kernel (tests and benches). Returns false — and
-/// changes nothing — when the requested kernel is unsupported on this
-/// CPU/build. Not thread-safe against concurrent expansions; call at
-/// startup.
-bool SetExpandKernel(ExpandKernel kernel);
-
-/// The kernel expansions currently run with (never kAuto).
-ExpandKernel ActiveExpandKernel();
 
 /// A single query term's polynomial factor. `spikes` hold the
 /// positive-contribution outcomes; the implicit remaining mass
@@ -74,9 +53,10 @@ struct ExpandOptions {
 
 /// Reusable scratch memory for repeated expansions (the batched estimation
 /// hot path). Holds the factor list an estimator fills per (query, rep)
-/// pair plus the ping-pong spike buffers the product multiplies through,
-/// so a steady-state Expand allocates nothing once capacities have grown
-/// to the workload's working set.
+/// pair, the ping-pong spike buffers the product multiplies through and
+/// the merge state of one factor crossing, so a steady-state Expand
+/// allocates nothing once capacities have grown to the largest expansion
+/// the workspace has seen. Memory stays at that high-water mark.
 ///
 /// A workspace is single-threaded state: one per thread, never shared.
 /// The span returned by SimilarityDistribution::ExpandWith points into the
@@ -101,6 +81,22 @@ class ExpansionWorkspace {
   // exactly c positive factors matched, saturating at the cap).
   std::vector<std::vector<Spike>> msm_cur_;
   std::vector<std::vector<Spike>> msm_next_;
+
+  // One crossing's product as sorted runs: run r is spikes[0..size) with
+  // every exponent shifted by `shift` and every probability scaled by
+  // `scale` (one factor outcome applied to one source buffer). `order` is
+  // the emission rank of its first spike: source << 62 | run.
+  struct Run {
+    const Spike* spikes;
+    std::size_t size;
+    double shift;
+    double scale;
+    std::uint64_t order;
+  };
+  std::vector<Run> runs_;
+  // Merge keys of the runs' current spikes and the loser tree over them.
+  std::vector<unsigned __int128> heads_;
+  std::vector<std::uint32_t> tree_;
 };
 
 /// The fully expanded distribution: Expression (5) of the paper,
@@ -108,7 +104,8 @@ class ExpansionWorkspace {
 class SimilarityDistribution {
  public:
   /// Multiplies out the factors. An empty factor list yields the unit
-  /// distribution (all mass at similarity 0).
+  /// distribution (all mass at similarity 0). Scratch memory comes from a
+  /// per-thread workspace that keeps its largest capacity.
   static SimilarityDistribution Expand(
       const std::vector<TermPolynomial>& factors, ExpandOptions options = {});
 
@@ -165,7 +162,16 @@ class SimilarityDistribution {
  private:
   static void ExpandCore(const std::vector<TermPolynomial>& factors,
                          const ExpandOptions& options,
-                         std::vector<Spike>* cur, std::vector<Spike>* next);
+                         ExpansionWorkspace& ws);
+  // Appends the runs of crossing `source` (a descending spike buffer)
+  // with `factor`: the term-absent outcome scaled by `zero` (skipped when
+  // zero is not positive), then one run per factor spike.
+  static void AddRuns(ExpansionWorkspace& ws, const std::vector<Spike>& source,
+                      std::uint64_t source_rank,
+                      const std::vector<Spike>& factor, double zero);
+  // Merges ws.runs_ into `out` and collects like terms on the way.
+  static void MergeRuns(ExpansionWorkspace& ws, const ExpandOptions& options,
+                        std::vector<Spike>* out);
 
   std::vector<Spike> spikes_;
 };

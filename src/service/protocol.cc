@@ -1,6 +1,7 @@
 #include "service/protocol.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 
@@ -62,7 +63,14 @@ std::string JoinQuery(const std::vector<std::string_view>& tokens,
 
 }  // namespace
 
-std::string FormatScore(double value) { return StringPrintf("%.17g", value); }
+std::string FormatScore(double value) {
+  // to_chars with general format and precision 17 prints exactly what
+  // printf("%.17g") prints, without the locale-aware printf machinery.
+  char buf[32];
+  auto result = std::to_chars(buf, buf + sizeof(buf), value,
+                              std::chars_format::general, 17);
+  return std::string(buf, result.ptr);
+}
 
 Result<double> ParseScore(std::string_view token) {
   if (token.empty()) return Status::InvalidArgument("empty score");

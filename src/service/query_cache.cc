@@ -1,6 +1,7 @@
 #include "service/query_cache.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 
 #include "util/string_util.h"
@@ -22,7 +23,11 @@ void AppendDoubleBits(std::string* out, double value) {
   std::uint64_t bits = 0;
   static_assert(sizeof(bits) == sizeof(value));
   std::memcpy(&bits, &value, sizeof(bits));
-  out->append(StringPrintf("%016llx", static_cast<unsigned long long>(bits)));
+  char hex[16];
+  for (int i = 15; i >= 0; --i, bits >>= 4) {
+    hex[i] = "0123456789abcdef"[bits & 0xf];
+  }
+  out->append(hex, sizeof(hex));
 }
 }  // namespace
 
@@ -71,6 +76,19 @@ std::string QueryCache::MakeKey(std::string_view estimator, double threshold,
     key.push_back('\x1f');
     key.append(StringPrintf("MSM%zu", query.min_should_match));
   }
+  return key;
+}
+
+std::string QueryCache::EngineKey(std::string_view engine, std::uint64_t gen,
+                                  std::string_view query_key) {
+  std::string key;
+  key.reserve(engine.size() + query_key.size() + 24);
+  key.append(engine);
+  key.push_back('\x1f');
+  char digits[24];
+  key.append(digits, std::to_chars(digits, digits + sizeof(digits), gen).ptr);
+  key.push_back('\x1f');
+  key.append(query_key);
   return key;
 }
 

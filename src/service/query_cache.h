@@ -9,7 +9,7 @@
 // selection policy after the cache, so ROUTE requests that differ only
 // in topk, and ESTIMATE requests for the same query, all share entries.
 //
-// Full keys are assembled by the caller as
+// Full keys are assembled by QueryCache::EngineKey as
 //     <engine> '\x1f' <generation> '\x1f' MakeKey(...)
 // where <generation> is the engine's per-engine snapshot generation.
 // That makes invalidation scoped and race-free: updating one engine
@@ -68,6 +68,14 @@ class QueryCache {
   /// name and generation (see the header comment) to form the full key.
   static std::string MakeKey(std::string_view estimator, double threshold,
                              const ir::Query& query);
+
+  /// Full cache key for one engine: name, generation (decimal), then the
+  /// MakeKey sub-key, joined by '\x1f'. The generation is the
+  /// scoped-invalidation lever — updating an engine bumps only its own
+  /// generation, so every other engine's keys (and cached entries)
+  /// survive.
+  static std::string EngineKey(std::string_view engine, std::uint64_t gen,
+                               std::string_view query_key);
 
   /// Returns the cached estimate and refreshes its LRU position, or
   /// nullopt on miss. Counts a hit or miss.

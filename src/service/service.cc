@@ -31,22 +31,6 @@ std::string FormatSelection(const broker::EngineSelection& sel) {
          FormatScore(sel.estimate.avg_sim);
 }
 
-/// Full cache key for one engine: name, generation, then the canonical
-/// query sub-key. The generation is the scoped-invalidation lever —
-/// updating an engine bumps only its own generation, so every other
-/// engine's keys (and cached entries) survive.
-std::string EngineKey(std::string_view engine, std::uint64_t gen,
-                      const std::string& query_key) {
-  std::string key;
-  key.reserve(engine.size() + query_key.size() + 24);
-  key.append(engine);
-  key.push_back('\x1f');
-  key.append(StringPrintf("%llu", static_cast<unsigned long long>(gen)));
-  key.push_back('\x1f');
-  key.append(query_key);
-  return key;
-}
-
 /// Prometheus label-value escaping (backslash, quote, newline).
 std::string EscapeLabelValue(std::string_view value) {
   std::string out;
@@ -440,7 +424,8 @@ Service::Reply Service::DoRank(const Request& request, bool apply_policy,
         QueryCache::MakeKey(request.estimator, request.threshold, query);
     for (std::size_t i = 0; i < n; ++i) {
       std::string key =
-          EngineKey(broker.engine_name(i), snapshot->gens[i], query_key);
+          QueryCache::EngineKey(broker.engine_name(i), snapshot->gens[i],
+                                query_key);
       std::optional<CachedEstimate> est = cache_.Get(key);
       if (est.has_value()) {
         ranked.push_back(broker::EngineSelection{

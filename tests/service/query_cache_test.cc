@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "text/analyzer.h"
+#include "util/random.h"
 #include "util/thread_pool.h"
 
 namespace useful::service {
@@ -20,6 +24,42 @@ ir::Query MakeQuery(std::vector<std::pair<std::string, double>> terms) {
     q.terms.push_back(ir::QueryTerm{term, weight});
   }
   return q;
+}
+
+// The key bytes the cache used to build with printf ("%016llx" per double,
+// "%llu" for the generation); keys must not change.
+std::string PrintfBits(double value) {
+  if (value == 0.0) value = 0.0;
+  char buf[17];
+  const auto bits =
+      static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(value));
+  std::snprintf(buf, sizeof(buf), "%016llx", bits);
+  return buf;
+}
+
+TEST(QueryCacheKeyTest, KeysMatchThePrintfFormat) {
+  Pcg32 rng(42, 5);
+  for (int i = 0; i < 20000; ++i) {
+    const double threshold = std::bit_cast<double>(
+        (static_cast<std::uint64_t>(rng.NextU32()) << 32) | rng.NextU32());
+    const double weight = i % 7 == 0 ? -0.0 : rng.NextDouble();
+    ir::Query q = MakeQuery({{"zeta", weight}});
+    q.terms[0].negated = i % 2 == 0;
+    const std::string want = std::string("subrange") + '\x1f' +
+                             PrintfBits(threshold) + '\x1f' + "zeta" +
+                             '\x1e' + PrintfBits(weight) +
+                             (i % 2 == 0 ? '!' : '+');
+    const std::string sub = QueryCache::MakeKey("subrange", threshold, q);
+    ASSERT_EQ(sub, want) << i;
+
+    const std::uint64_t gen =
+        i % 3 == 0 ? ~std::uint64_t{0} >> rng.NextBounded(64) : i;
+    char digits[32];
+    std::snprintf(digits, sizeof(digits), "%llu",
+                  static_cast<unsigned long long>(gen));
+    ASSERT_EQ(QueryCache::EngineKey("group07", gen, sub),
+              std::string("group07") + '\x1f' + digits + '\x1f' + sub);
+  }
 }
 
 TEST(QueryCacheKeyTest, TermOrderDoesNotSplitTheCache) {

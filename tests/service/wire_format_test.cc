@@ -8,7 +8,9 @@
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
+#include <string>
 
 #include "estimate/registry.h"
 #include "ir/query.h"
@@ -73,6 +75,48 @@ TEST(WireFormatTest, RandomBitPatternsRoundTrip) {
     double value = std::bit_cast<double>(bits);
     if (std::isnan(value)) continue;  // estimators never produce NaN
     ExpectRoundTrips(value);
+  }
+}
+
+// FormatScore must print exactly the bytes printf("%.17g") prints, so
+// replies stay byte-identical to the printf-based format.
+std::string PrintfScore(double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  return buf;
+}
+
+TEST(WireFormatTest, FormatScoreMatchesPrintfOnSpecials) {
+  const double specials[] = {0.0,
+                             -0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             DBL_MIN / 3.0,
+                             DBL_MIN,
+                             DBL_MAX,
+                             -DBL_MAX,
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN(),
+                             1.0,
+                             0.1,
+                             1e16,
+                             1e17,
+                             123456789012345680.0,
+                             1e-5,
+                             0.0001,
+                             0.20000000000000001};
+  for (double v : specials) EXPECT_EQ(FormatScore(v), PrintfScore(v)) << v;
+}
+
+TEST(WireFormatTest, FormatScoreMatchesPrintfOnRandomBitPatterns) {
+  Pcg32 rng(1999, 3);
+  for (int i = 0; i < 1000000; ++i) {
+    std::uint64_t bits =
+        (static_cast<std::uint64_t>(rng.NextU32()) << 32) | rng.NextU32();
+    double value = std::bit_cast<double>(bits);
+    if (std::isnan(value)) continue;  // printf spells a NaN's sign its own way
+    ASSERT_EQ(FormatScore(value), PrintfScore(value)) << std::hex << bits;
   }
 }
 
