@@ -13,7 +13,9 @@
 #   - the server's STATS must account for the full trace, and the
 #     Zipfian repeats must have produced real cache hits;
 #   - the JSON report must carry the percentile rows bench_serving.sh
-#     folds into BENCH_serving.json.
+#     folds into BENCH_serving.json;
+#   - replies are stamped on arrival: a cached ROUTE replayed over one
+#     connection at 100 qps reads a p50 below half the send interval.
 #
 # Sizes are modest (6k requests at 600 qps) because the tsan CI lane
 # runs this under a ~10x slowdown; bench/bench_serving.sh is where the
@@ -63,6 +65,22 @@ grep -q 'sent=6000 replies=6000 errors=0' "$OUT" \
   || fail "trace not fully answered: $(head -1 "$OUT")"
 grep -q '"p99_us"' "$JSON" || fail "JSON report missing percentile rows"
 
+# Arrival stamping: one connection at a low rate replaying cached ROUTEs
+# (4 distinct queries, all hot after the first pass) must read a p50 far
+# below the 10 ms send interval. A generator that noticed replies only
+# when it woke for the next send would read about one full interval.
+STAMP_JSON="$DIR/loadgen_stamp.json"
+rm -f "$STAMP_JSON"
+"$LOADGEN" --port "$PORT" --connections 1 --qps 100 --queries 200 \
+           --distinct 4 --verb ROUTE --topk 2 \
+           --queries-file "$DIR/queries.tsv" --seed 7 \
+           --json "$STAMP_JSON" --tag stamp > "$OUT" 2>&1 \
+  || fail "stamping loadgen exited nonzero"
+STAMP_P50=$(awk -F'[:,]' '/"p50_us"/ {gsub(/ /, "", $2); print $2}' \
+            "$STAMP_JSON")
+[ -n "$STAMP_P50" ] && [ "$STAMP_P50" -lt 5000 ] \
+  || fail "cached ROUTE p50=${STAMP_P50}us on 1 connection at 100 qps, expected < 5000us"
+
 STATS=$("$CLIENT" --port "$PORT" STATS)
 REQUESTS=$(echo "$STATS" | awk '$1 == "requests_total" {print $2}')
 [ "${REQUESTS:-0}" -ge 6000 ] \
@@ -73,4 +91,5 @@ HITS=$(echo "$STATS" | awk '$1 == "cache_hits" {print $2}')
 printf 'QUIT\n' | "$CLIENT" --port "$PORT" > /dev/null
 wait "$SERVED_PID"
 grep -q 'shut down cleanly' "$LOG" || fail "server exit was not clean"
-echo "loadgen smoke ok: 6000 open-loop requests, 0 errors, hits=$HITS"
+echo "loadgen smoke ok: 6000 open-loop requests, 0 errors, hits=$HITS," \
+     "stamped p50=${STAMP_P50}us"

@@ -22,8 +22,9 @@
 // replies have arrived, and each latency is measured from the request's
 // *scheduled* send time to its reply. A server that falls behind
 // therefore shows the queueing delay it actually inflicted
-// (coordinated omission is impossible by construction), and replies are
-// drained opportunistically so requests pipeline instead of waiting.
+// (coordinated omission is impossible by construction). Between sends a
+// connection waits in ppoll on its socket, so replies are read and
+// stamped as they arrive and requests pipeline instead of waiting.
 // With --qps 0 the generator is closed-loop at maximum rate: each
 // connection keeps a fixed window (--pipeline) of requests in flight —
 // the throughput-ceiling mode.
@@ -35,6 +36,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -235,16 +237,22 @@ void RunWorker(const Options& opt, const std::vector<std::string>* pool,
   for (std::size_t i = 0; i < count; ++i) {
     if (open_loop) {
       Clock::time_point due = start + offset + interval * i;
-      // Sleep to the schedule, draining whatever has already arrived.
-      while (Clock::now() < due) {
+      // Wait for the schedule in ppoll on the connection, so a reply that
+      // arrives before the next send is read, and stamped, on arrival.
+      for (;;) {
         if (!drain(/*block=*/false)) goto done;
         Clock::time_point now = Clock::now();
         if (now >= due) break;
-        auto remaining = due - now;
-        std::this_thread::sleep_for(
-            remaining < std::chrono::milliseconds(1)
-                ? remaining
-                : remaining - std::chrono::microseconds(200));
+        const auto left =
+            std::chrono::duration_cast<std::chrono::nanoseconds>(due - now);
+        const timespec timeout{
+            static_cast<time_t>(left.count() / 1000000000),
+            static_cast<long>(left.count() % 1000000000)};
+        pollfd readable{fd, POLLIN, 0};
+        if (::ppoll(&readable, 1, &timeout, nullptr) < 0 && errno != EINTR) {
+          result->transport_error = true;
+          goto done;
+        }
       }
       in_flight.push_back(due);  // scheduled, not actual, send time
     } else {
