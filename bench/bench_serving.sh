@@ -18,10 +18,11 @@
 #                              scatter-gather front-end (3 servers total)
 # items_per_second is answered requests per second.
 #
-# It also refreshes the "representative_store" block: URPZ vs URP1 bytes
-# per engine (BM_PackStoreEncode counters), shard warm-up (BM_StoreWarmup),
-# map- vs view-backed estimation (BM_Estimator{Batch,View}Sweep), and the
-# scalar vs AVX2 expansion kernels (BM_EstimatorKernel).
+# It also refreshes the "representative_store" block, with the machine it
+# ran on: URPZ vs URP1 bytes per engine (BM_PackStoreEncode counters),
+# shard warm-up (BM_StoreWarmup), map- vs view-backed estimation
+# (BM_Estimator{Batch,View}Sweep), and the polynomial product alone
+# (BM_ExpansionKernel).
 #
 # Finally it replays a million-query Zipfian trace with useful_loadgen —
 # open-loop (timer-paced), so the latency percentiles are free of
@@ -36,7 +37,7 @@ LG=$(mktemp /tmp/bench_loadgen.XXXXXX.json)
 trap 'rm -f "$RAW" "$LG"' EXIT
 
 "$BUILD"/bench/bench_micro \
-  --benchmark_filter='BM_Server|BM_Frontend|BM_PackStoreEncode|BM_StoreWarmup|BM_EstimatorViewSweep|BM_EstimatorBatchSweep|BM_EstimatorKernel' \
+  --benchmark_filter='BM_Server|BM_Frontend|BM_PackStoreEncode|BM_StoreWarmup|BM_EstimatorViewSweep|BM_EstimatorBatchSweep|BM_ExpansionKernel' \
   --benchmark_format=json --benchmark_out="$RAW" \
   --benchmark_out_format=json >/dev/null
 
@@ -135,9 +136,13 @@ except (FileNotFoundError, json.JSONDecodeError):
 
 doc["current"] = current
 doc["representative_store"] = {
-    "comment": "URPZ packed store vs quantized URP1, plus scalar vs AVX2 "
-               "expansion kernels; regenerated alongside 'current'.",
+    "comment": "URPZ packed store vs quantized URP1, estimation sweeps and "
+               "the expansion product; regenerated alongside 'current'.",
     "date": raw["context"]["date"][:10],
+    "machine": {
+        "num_cpus": raw["context"]["num_cpus"],
+        "mhz_per_cpu": raw["context"]["mhz_per_cpu"],
+    },
     "rows": store_rows,
 }
 if ("BM_PackStoreEncode" in store_rows
