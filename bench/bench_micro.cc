@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -468,7 +469,6 @@ void BM_ServiceRouteUncached(benchmark::State& state) {
   service::ServiceOptions options;
   options.representative_paths = f.rep_paths;
   options.cache.max_entries = 1;  // cycling queries: every lookup misses
-  options.cache.shards = 1;
   auto service = service::Service::Create(&tb.analyzer, options);
   if (!service.ok()) std::abort();
   std::size_t i = 0;
@@ -479,6 +479,45 @@ void BM_ServiceRouteUncached(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ServiceRouteUncached);
+
+// The serving cache section alone, at the testbed's 53 engines: one
+// Lookup of every engine's generation under one query key. Arg 1: every
+// engine hits (route_hot). Arg 0: the query cycles through more keys
+// than the default budget holds, so every probe misses, and the request
+// stores all 53 fresh estimates and evicts the oldest query
+// (estimate_cold).
+void BM_QueryCacheProbe(benchmark::State& state) {
+  constexpr std::size_t kEngines = 53;
+  const bool hit = state.range(0) != 0;
+  service::QueryCache cache;
+  std::vector<std::uint64_t> gens(kEngines);
+  std::vector<service::QueryCache::Slot> slots(kEngines);
+  for (std::size_t i = 0; i < kEngines; ++i) {
+    gens[i] = i;
+    slots[i] = {i, {static_cast<double>(i), 0.25}};
+  }
+  // 4096 slots hold 77 queries of 53; cycling 128 in LRU order misses all.
+  std::vector<std::string> keys;
+  for (std::size_t q = 0; q < (hit ? 1 : 128); ++q) {
+    ir::Query query;
+    for (std::size_t t = 0; t < 3; ++t) {
+      query.terms.push_back(
+          ir::QueryTerm{"term" + std::to_string(q * 3 + t), 0.5 + 0.1 * t});
+    }
+    keys.push_back(service::QueryCache::MakeKey("subrange", 0.2, query));
+  }
+  if (hit) cache.Store(keys[0], slots, 0);
+  std::vector<std::optional<service::CachedEstimate>> out(kEngines);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::string& key = keys[i++ % keys.size()];
+    if (cache.Lookup(key, gens, out) < kEngines) cache.Store(key, slots, 0);
+    benchmark::DoNotOptimize(out.data());
+  }
+  const service::QueryCache::Counters c = cache.counters();
+  if (hit ? c.misses != 0 : c.hits != 0) std::abort();
+}
+BENCHMARK(BM_QueryCacheProbe)->Arg(1)->Arg(0);
 
 // One client, one connection, request/response round-trips over loopback:
 // items/sec is the single-connection QPS ceiling (wire framing + service).

@@ -24,6 +24,11 @@
 # (BM_Estimator{Batch,View}Sweep), and the polynomial product alone
 # (BM_ExpansionKernel).
 #
+# And the "query_cache" block, with the machine it ran on: the service's
+# whole request in process (BM_ServiceRoute{Cached,CachedTraceOff,
+# Uncached}) and the cache section alone at 53 engines
+# (BM_QueryCacheProbe/1 all hit, /0 miss + store).
+#
 # Finally it replays a million-query Zipfian trace with useful_loadgen —
 # open-loop (timer-paced), so the latency percentiles are free of
 # coordinated omission — against a live useful_served and records
@@ -37,7 +42,7 @@ LG=$(mktemp /tmp/bench_loadgen.XXXXXX.json)
 trap 'rm -f "$RAW" "$LG"' EXIT
 
 "$BUILD"/bench/bench_micro \
-  --benchmark_filter='BM_Server|BM_Frontend|BM_PackStoreEncode|BM_StoreWarmup|BM_EstimatorViewSweep|BM_EstimatorBatchSweep|BM_ExpansionKernel' \
+  --benchmark_filter='BM_Server|BM_Frontend|BM_PackStoreEncode|BM_StoreWarmup|BM_EstimatorViewSweep|BM_EstimatorBatchSweep|BM_ExpansionKernel|BM_ServiceRoute|BM_QueryCacheProbe' \
   --benchmark_format=json --benchmark_out="$RAW" \
   --benchmark_out_format=json >/dev/null
 
@@ -84,12 +89,12 @@ import json, sys
 raw_path, out_path, loadgen_path = sys.argv[1], sys.argv[2], sys.argv[3]
 raw = json.load(open(raw_path))
 
-serving = [b for b in raw["benchmarks"]
-           if b.get("run_type") == "iteration"
-           and b["name"].startswith(("BM_Server", "BM_Frontend"))]
-store = [b for b in raw["benchmarks"]
-         if b.get("run_type") == "iteration"
-         and not b["name"].startswith(("BM_Server", "BM_Frontend"))]
+iterations = [b for b in raw["benchmarks"] if b.get("run_type") == "iteration"]
+serving = [b for b in iterations
+           if b["name"].startswith(("BM_Server", "BM_Frontend"))]
+cache = [b for b in iterations
+         if b["name"].startswith(("BM_ServiceRoute", "BM_QueryCacheProbe"))]
+store = [b for b in iterations if b not in serving and b not in cache]
 
 rows = {
     b["name"]: {
@@ -102,6 +107,10 @@ rows = {
 
 # Time unit varies across the store rows (ms/us/ns); normalize to ns.
 _ns = {"ns": 1, "us": 1e3, "ms": 1e6, "s": 1e9}
+machine = {
+    "num_cpus": raw["context"]["num_cpus"],
+    "mhz_per_cpu": raw["context"]["mhz_per_cpu"],
+}
 store_rows = {}
 for b in store:
     row = {"real_time_ns": round(b["real_time"] * _ns[b["time_unit"]]),
@@ -127,10 +136,7 @@ except (FileNotFoundError, json.JSONDecodeError):
                    "'current' block with bench/bench_serving.sh. The "
                    "'baseline' block is the frozen thread-per-connection "
                    "core (pre-reactor) and must not be regenerated.",
-        "machine": {
-            "num_cpus": raw["context"]["num_cpus"],
-            "mhz_per_cpu": raw["context"]["mhz_per_cpu"],
-        },
+        "machine": machine,
         "baseline": dict(current, core="bootstrap"),
     }
 
@@ -139,11 +145,23 @@ doc["representative_store"] = {
     "comment": "URPZ packed store vs quantized URP1, estimation sweeps and "
                "the expansion product; regenerated alongside 'current'.",
     "date": raw["context"]["date"][:10],
-    "machine": {
-        "num_cpus": raw["context"]["num_cpus"],
-        "mhz_per_cpu": raw["context"]["mhz_per_cpu"],
-    },
+    "machine": machine,
     "rows": store_rows,
+}
+doc["query_cache"] = {
+    "comment": "One service request in process (BM_ServiceRoute*) and the "
+               "query-cache section alone at 53 engines "
+               "(BM_QueryCacheProbe/1 all hit, /0 miss + store); "
+               "regenerated alongside 'current'.",
+    "date": raw["context"]["date"][:10],
+    "machine": machine,
+    "rows": {
+        b["name"]: {
+            "real_time_ns": round(b["real_time"] * _ns[b["time_unit"]]),
+            "cpu_time_ns": round(b["cpu_time"] * _ns[b["time_unit"]]),
+        }
+        for b in cache
+    },
 }
 if ("BM_PackStoreEncode" in store_rows
         and "urpz_bytes_per_engine" in store_rows["BM_PackStoreEncode"]):

@@ -149,22 +149,20 @@ std::unique_ptr<Metasearcher> Metasearcher::Clone() const {
 estimate::UsefulnessEstimate Metasearcher::EstimateEngine(
     std::size_t i, const ir::Query& q, double threshold,
     const estimate::UsefulnessEstimator& estimator) const {
+  // Both backings resolve the query and batch-score the single
+  // threshold; every registry estimator routes its scalar Estimate
+  // through EstimateBatch, so this is bit-identical to it. One workspace
+  // per thread, reused across engines and requests: allocation stops once
+  // a thread has seen its largest expansion, and that much stays held.
+  thread_local estimate::ExpansionWorkspace ws;
   const Entry& e = entries_[i];
-  if (e.view.has_value()) {
-    // Store-backed: resolve straight off the mapping and batch-score
-    // the single threshold. Every registry estimator routes its
-    // scalar Estimate through EstimateBatch, so this path is
-    // bit-identical to the materialized one. One workspace per thread,
-    // reused across engines and requests: allocation stops once a
-    // thread has seen its largest expansion, and that much stays held.
-    thread_local estimate::ExpansionWorkspace ws;
-    estimate::ResolvedQuery rq(*e.view, q);
-    estimate::UsefulnessEstimate est;
-    estimator.EstimateBatch(rq, std::span<const double>(&threshold, 1), ws,
-                            std::span<estimate::UsefulnessEstimate>(&est, 1));
-    return est;
-  }
-  return estimator.Estimate(e.rep, q, threshold);
+  const estimate::ResolvedQuery rq =
+      e.view.has_value() ? estimate::ResolvedQuery(*e.view, q)
+                         : estimate::ResolvedQuery(e.rep, q);
+  estimate::UsefulnessEstimate est;
+  estimator.EstimateBatch(rq, std::span<const double>(&threshold, 1), ws,
+                          std::span<estimate::UsefulnessEstimate>(&est, 1));
+  return est;
 }
 
 std::vector<EngineSelection> Metasearcher::RankEngines(

@@ -1,7 +1,6 @@
 #include "service/query_cache.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstring>
 
 #include "util/string_util.h"
@@ -9,9 +8,14 @@
 namespace useful::service {
 
 namespace {
-// Rough fixed cost of one entry beyond its key string: list/map node plus
-// the inline estimate. Keeps the byte budget honest for many tiny entries.
+// Rough fixed cost of one entry beyond its key string and slots: list and
+// map nodes plus the slot array's header. Keeps the byte budget honest for
+// many small entries.
 constexpr std::size_t kEntryOverhead = 96;
+
+bool GenBefore(const QueryCache::Slot& slot, std::uint64_t gen) {
+  return slot.gen < gen;
+}
 
 // Exact bit pattern of a double as 16 hex digits, so keying never depends
 // on decimal formatting precision. Negative zero is canonicalized to
@@ -31,16 +35,8 @@ void AppendDoubleBits(std::string* out, double value) {
 }
 }  // namespace
 
-QueryCache::QueryCache(QueryCacheOptions options) {
-  std::size_t num_shards = std::max<std::size_t>(1, options.shards);
-  shards_.reserve(num_shards);
-  for (std::size_t i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  entries_per_shard_ =
-      std::max<std::size_t>(1, options.max_entries / num_shards);
-  bytes_per_shard_ = options.max_bytes / num_shards;
-}
+QueryCache::QueryCache(QueryCacheOptions options)
+    : max_slots_(options.max_entries), max_bytes_(options.max_bytes) {}
 
 std::string QueryCache::MakeKey(std::string_view estimator, double threshold,
                                 const ir::Query& query) {
@@ -79,126 +75,149 @@ std::string QueryCache::MakeKey(std::string_view estimator, double threshold,
   return key;
 }
 
-std::string QueryCache::EngineKey(std::string_view engine, std::uint64_t gen,
-                                  std::string_view query_key) {
-  std::string key;
-  key.reserve(engine.size() + query_key.size() + 24);
-  key.append(engine);
-  key.push_back('\x1f');
-  char digits[24];
-  key.append(digits, std::to_chars(digits, digits + sizeof(digits), gen).ptr);
-  key.push_back('\x1f');
-  key.append(query_key);
-  return key;
+std::size_t QueryCache::EntryBytes(std::size_t key_size, std::size_t slots) {
+  return kEntryOverhead + key_size + slots * sizeof(Slot);
 }
 
-QueryCache::Shard& QueryCache::ShardFor(std::string_view key) {
-  return *shards_[std::hash<std::string_view>{}(key) % shards_.size()];
+void QueryCache::EraseLocked(std::list<Entry>::iterator it) {
+  slots_ -= it->slots.size();
+  bytes_ -= it->bytes;
+  index_.erase(std::string_view(it->key));
+  lru_.erase(it);
 }
 
-std::size_t QueryCache::EntryBytes(std::string_view key) {
-  return kEntryOverhead + key.size() + sizeof(CachedEstimate);
-}
-
-std::optional<CachedEstimate> QueryCache::Get(std::string_view key) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
+std::size_t QueryCache::Lookup(std::string_view query_key,
+                               std::span<const std::uint64_t> gens,
+                               std::span<std::optional<CachedEstimate>> out) {
+  std::size_t hits = 0;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(query_key);
+  if (it == index_.end()) {
+    std::fill_n(out.begin(), gens.size(), std::nullopt);
+  } else {
+    lru_.splice(lru_.begin(), lru_, it->second);
+    const std::vector<Slot>& slots = it->second->slots;
+    // Snapshot generations ascend in practice (they are handed out in
+    // registration order), so the cursor usually already points at the
+    // next one; the binary search runs only when it doesn't.
+    auto cursor = slots.begin();
+    for (std::size_t i = 0; i < gens.size(); ++i) {
+      if (cursor == slots.end() || cursor->gen != gens[i]) {
+        cursor = std::lower_bound(slots.begin(), slots.end(), gens[i],
+                                  GenBefore);
+      }
+      if (cursor != slots.end() && cursor->gen == gens[i]) {
+        out[i] = cursor->value;
+        ++cursor;
+        ++hits;
+      } else {
+        out[i] = std::nullopt;
+      }
+    }
   }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second->value;
+  totals_.hits += hits;
+  totals_.misses += gens.size() - hits;
+  return hits;
 }
 
-void QueryCache::Put(std::string_view key, const CachedEstimate& value,
-                     std::uint64_t epoch) {
-  if (epoch < min_epoch_.load(std::memory_order_acquire)) {
+void QueryCache::Store(std::string_view query_key, std::span<const Slot> slots,
+                       std::uint64_t epoch) {
+  if (slots.empty()) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (epoch < min_epoch_) {
     // Computed under a snapshot an invalidation already retired; caching
-    // it would resurrect a dead-generation entry behind the sweep.
-    expired_.fetch_add(1, std::memory_order_relaxed);
+    // it would resurrect dead-generation slots behind the sweep. Checked
+    // under the lock the sweep takes, so a Store can't slip in between
+    // SetMinEpoch and EraseGenerations.
+    totals_.expired += slots.size();
     return;
   }
-  std::size_t bytes = EntryBytes(key);
-  if (bytes_per_shard_ > 0 && bytes > bytes_per_shard_) return;  // oversize
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
-    shard.bytes -= it->second->bytes;
-    it->second->value = value;
-    it->second->bytes = bytes;
-    shard.bytes += bytes;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  } else {
-    shard.lru.push_front(Entry{std::string(key), value, bytes});
-    shard.index.emplace(std::string_view(shard.lru.front().key),
-                        shard.lru.begin());
-    shard.bytes += bytes;
+  auto it = index_.find(query_key);
+  std::vector<Slot> merged;
+  if (it != index_.end()) merged = it->second->slots;
+  merged.reserve(merged.size() + slots.size());
+  for (const Slot& slot : slots) {
+    auto pos = std::lower_bound(merged.begin(), merged.end(), slot.gen,
+                                GenBefore);
+    if (pos != merged.end() && pos->gen == slot.gen) {
+      pos->value = slot.value;
+    } else {
+      merged.insert(pos, slot);
+    }
   }
-  while (shard.lru.size() > entries_per_shard_ ||
-         (bytes_per_shard_ > 0 && shard.bytes > bytes_per_shard_ &&
-          shard.lru.size() > 1)) {
-    const Entry& victim = shard.lru.back();
-    shard.bytes -= victim.bytes;
-    shard.index.erase(std::string_view(victim.key));
-    shard.lru.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+  std::size_t bytes = EntryBytes(query_key.size(), merged.size());
+  if (merged.size() > max_slots_ || (max_bytes_ > 0 && bytes > max_bytes_)) {
+    return;  // could never coexist with anything
+  }
+  if (it != index_.end()) {
+    // Merging only adds slots, so neither total can shrink here.
+    Entry& entry = *it->second;
+    slots_ += merged.size() - entry.slots.size();
+    bytes_ += bytes - entry.bytes;
+    entry.slots = std::move(merged);
+    entry.bytes = bytes;
+    lru_.splice(lru_.begin(), lru_, it->second);
+  } else {
+    lru_.push_front(Entry{std::string(query_key), std::move(merged), bytes});
+    index_.emplace(std::string_view(lru_.front().key), lru_.begin());
+    slots_ += lru_.front().slots.size();
+    bytes_ += bytes;
+  }
+  // The front entry fits on its own, so this stops before reaching it.
+  while (slots_ > max_slots_ || (max_bytes_ > 0 && bytes_ > max_bytes_)) {
+    totals_.evictions += lru_.back().slots.size();
+    EraseLocked(std::prev(lru_.end()));
   }
 }
 
 void QueryCache::SetMinEpoch(std::uint64_t epoch) {
   // Monotone max: concurrent mutators may race here, the larger epoch
   // must win.
-  std::uint64_t seen = min_epoch_.load(std::memory_order_relaxed);
-  while (seen < epoch && !min_epoch_.compare_exchange_weak(
-                             seen, epoch, std::memory_order_release,
-                             std::memory_order_relaxed)) {
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  min_epoch_ = std::max(min_epoch_, epoch);
 }
 
-std::size_t QueryCache::ErasePrefix(std::string_view prefix) {
+std::size_t QueryCache::EraseGenerations(std::span<const std::uint64_t> gens) {
+  std::vector<std::uint64_t> retired(gens.begin(), gens.end());
+  std::sort(retired.begin(), retired.end());
   std::size_t erased = 0;
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (auto it = shard->lru.begin(); it != shard->lru.end();) {
-      if (it->key.size() >= prefix.size() &&
-          std::string_view(it->key).substr(0, prefix.size()) == prefix) {
-        shard->bytes -= it->bytes;
-        shard->index.erase(std::string_view(it->key));
-        it = shard->lru.erase(it);
-        ++erased;
-      } else {
-        ++it;
-      }
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    std::size_t removed = std::erase_if(it->slots, [&](const Slot& slot) {
+      return std::binary_search(retired.begin(), retired.end(), slot.gen);
+    });
+    if (removed == 0) {
+      ++it;
+      continue;
+    }
+    erased += removed;
+    slots_ -= removed;
+    bytes_ -= it->bytes;
+    it->bytes = EntryBytes(it->key.size(), it->slots.size());
+    bytes_ += it->bytes;
+    if (it->slots.empty()) {
+      EraseLocked(it++);
+    } else {
+      ++it;
     }
   }
-  expired_.fetch_add(erased, std::memory_order_relaxed);
+  totals_.expired += erased;
   return erased;
 }
 
 void QueryCache::Clear() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->index.clear();
-    shard->lru.clear();
-    shard->bytes = 0;
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  index_.clear();
+  lru_.clear();
+  slots_ = 0;
+  bytes_ = 0;
 }
 
 QueryCache::Counters QueryCache::counters() const {
-  Counters c;
-  c.hits = hits_.load(std::memory_order_relaxed);
-  c.misses = misses_.load(std::memory_order_relaxed);
-  c.evictions = evictions_.load(std::memory_order_relaxed);
-  c.expired = expired_.load(std::memory_order_relaxed);
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    c.entries += shard->lru.size();
-    c.bytes += shard->bytes;
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  Counters c = totals_;
+  c.entries = slots_;
+  c.bytes = bytes_;
   return c;
 }
 

@@ -1,33 +1,40 @@
-// Sharded LRU cache of per-engine usefulness estimates for the serving
-// layer.
+// LRU cache of per-engine usefulness estimates for the serving layer.
 //
-// The cacheable unit is ONE engine's estimate for a canonical query key
-// (estimator, threshold, normalized query terms) — deliberately *not*
-// the full ranking, so ADD/DROP/UPDATE of one engine never touches the
-// other engines' entries; the serving layer reassembles and re-sorts
-// per-engine estimates (cheap: tens of engines) and applies the
+// One entry per canonical query key (MakeKey: estimator, threshold,
+// normalized query terms). The entry holds a contiguous array of slots,
+// one per engine estimate, each tagged with the generation of the engine
+// incarnation it was computed for. Every ROUTE/ESTIMATE probes every
+// engine of its snapshot under one query key, so a request costs one
+// key, one hash, one lock and one probe, plus a scan of the entry's
+// slots against the snapshot's generations. The serving layer
+// reassembles and re-sorts the per-engine estimates and applies the
 // selection policy after the cache, so ROUTE requests that differ only
-// in topk, and ESTIMATE requests for the same query, all share entries.
+// in topk, and ESTIMATE requests for the same query, share one entry.
 //
-// Full keys are assembled by QueryCache::EngineKey as
-//     <engine> '\x1f' <generation> '\x1f' MakeKey(...)
-// where <generation> is the engine's per-engine snapshot generation.
-// That makes invalidation scoped and race-free: updating one engine
-// bumps only its generation, so its old entries become unreachable
-// while every other engine keeps hitting. Unreachable entries don't
-// just age out of the LRU (they'd squat on the byte budget and evict
-// live entries): mutators call ErasePrefix for the touched engines
-// and advance the accepted epoch, so a stale Put that loses the race
-// with an invalidation is refused outright (counted as `expired`).
+// Generations come from one service-wide counter, so a generation alone
+// names one engine incarnation. That makes invalidation scoped and
+// race-free: updating one engine gives it a fresh generation, so its old
+// slots stop matching while every other engine keeps hitting, and a
+// request that hits all but the touched engine re-estimates only that
+// one and merges it back into the entry. Dead slots don't just age out
+// (they'd squat on the budget and evict live ones): mutators call
+// EraseGenerations for the retired generations and advance the accepted
+// epoch first, so a stale Store that loses the race with an invalidation
+// is refused outright (counted as `expired`).
+//
+// Budgets and counters are per engine estimate (slot), not per entry:
+// `max_entries` bounds resident slots, hits and misses count engines,
+// evictions and expiries count slots. The budget is global — one LRU
+// under one mutex, taken once per Lookup or Store — so a working set that
+// fits in total always stays resident.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -39,67 +46,67 @@
 namespace useful::service {
 
 struct QueryCacheOptions {
-  /// Total entry budget across shards (per-shard budget is the even split,
-  /// at least one entry). Entries are per (engine, query) pairs, so a
-  /// request over E engines consumes up to E entries.
+  /// Total slot budget: one slot is one engine's estimate for one query,
+  /// so a request over E engines consumes up to E slots.
   std::size_t max_entries = 4096;
-  /// Total byte budget across shards, accounting keys, estimates, and a
-  /// fixed per-entry overhead. Values too large for one shard's budget are
+  /// Total byte budget, accounting keys, slots, and a fixed per-entry
+  /// overhead (0: unbounded). An entry too large for the whole budget is
   /// not cached at all.
   std::size_t max_bytes = 8u << 20;
-  /// Lock shards; more shards = less contention under concurrent traffic.
-  std::size_t shards = 8;
 };
 
 /// The cached value: one engine's usefulness estimate.
 using CachedEstimate = estimate::UsefulnessEstimate;
 
-/// Thread-safe sharded LRU with entry-count and byte budgets plus
+/// Thread-safe LRU with slot-count and byte budgets plus
 /// hit/miss/eviction/expiry counters. All methods may be called
 /// concurrently.
 class QueryCache {
  public:
+  /// One engine estimate and the engine generation it was computed for.
+  struct Slot {
+    std::uint64_t gen = 0;
+    CachedEstimate value;
+  };
+
   explicit QueryCache(QueryCacheOptions options = {});
 
-  /// Canonical query sub-key for (estimator, threshold, query): the
-  /// query's (term, weight-bits, sign) triples sorted by term, so raw-text
-  /// term order and spacing never split the cache. Threshold and weights
-  /// are keyed by their exact bit patterns. The caller prepends the engine
-  /// name and generation (see the header comment) to form the full key.
+  /// Canonical query key for (estimator, threshold, query): the query's
+  /// (term, weight-bits, sign) triples sorted by term, so raw-text term
+  /// order and spacing never split the cache. Threshold and weights are
+  /// keyed by their exact bit patterns.
   static std::string MakeKey(std::string_view estimator, double threshold,
                              const ir::Query& query);
 
-  /// Full cache key for one engine: name, generation (decimal), then the
-  /// MakeKey sub-key, joined by '\x1f'. The generation is the
-  /// scoped-invalidation lever — updating an engine bumps only its own
-  /// generation, so every other engine's keys (and cached entries)
-  /// survive.
-  static std::string EngineKey(std::string_view engine, std::uint64_t gen,
-                               std::string_view query_key);
+  /// Probes `query_key` for every generation of `gens`: out[i] receives
+  /// gens[i]'s cached estimate, or nullopt on a miss (`out` must be as
+  /// long as `gens`). Counts one hit or miss per generation and refreshes
+  /// the entry's LRU position. Returns the number of hits.
+  std::size_t Lookup(std::string_view query_key,
+                     std::span<const std::uint64_t> gens,
+                     std::span<std::optional<CachedEstimate>> out);
 
-  /// Returns the cached estimate and refreshes its LRU position, or
-  /// nullopt on miss. Counts a hit or miss.
-  std::optional<CachedEstimate> Get(std::string_view key);
+  /// Merges `slots` into `query_key`'s entry (a slot of an already cached
+  /// generation is overwritten), provided `epoch` (the snapshot epoch the
+  /// values were computed under) is still current — a Store racing an
+  /// invalidation that already advanced the epoch is refused and its
+  /// slots counted as expired, so dead generations can't re-enter the
+  /// cache behind a sweep. An entry that would exceed either budget on
+  /// its own is left as it was. Evicts least-recently-used entries while
+  /// the cache is over either budget.
+  void Store(std::string_view query_key, std::span<const Slot> slots,
+             std::uint64_t epoch);
 
-  /// Inserts or refreshes `key`, provided `epoch` (the snapshot epoch the
-  /// value was computed under) is still current — a Put racing an
-  /// invalidation that already advanced the epoch is refused and counted
-  /// as expired, so dead-generation entries can't re-enter the cache
-  /// behind a sweep. Evicts least-recently-used entries while the shard
-  /// is over either budget.
-  void Put(std::string_view key, const CachedEstimate& value,
-           std::uint64_t epoch);
-
-  /// Raises the minimum epoch Put accepts. Mutators call this (with the
+  /// Raises the minimum epoch Store accepts. Mutators call this (with the
   /// new snapshot's epoch) before sweeping, so in-flight requests still
   /// holding the old snapshot can't repopulate what the sweep removes.
   void SetMinEpoch(std::uint64_t epoch);
 
-  /// Erases every entry whose key starts with `prefix` (the touched
-  /// engine's "name\x1f" in practice), reclaiming its budget immediately.
-  /// Erased entries are counted as expired, not evicted. Returns the
-  /// number erased.
-  std::size_t ErasePrefix(std::string_view prefix);
+  /// Erases every slot of the retired generations `gens` (a dropped or
+  /// updated engine's), reclaiming their budget at once; entries left
+  /// without slots go too. Erased slots are counted as expired, not
+  /// evicted. Returns the number erased.
+  std::size_t EraseGenerations(std::span<const std::uint64_t> gens);
 
   /// Drops every entry (reload invalidation). Counters keep their totals.
   void Clear();
@@ -108,8 +115,9 @@ class QueryCache {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
-    /// Entries swept by ErasePrefix plus Puts refused for a stale epoch.
+    /// Slots swept by EraseGenerations plus slots of refused Stores.
     std::uint64_t expired = 0;
+    /// Resident slots.
     std::size_t entries = 0;
     std::size_t bytes = 0;
   };
@@ -118,28 +126,25 @@ class QueryCache {
  private:
   struct Entry {
     std::string key;
-    CachedEstimate value;
-    std::size_t bytes = 0;
-  };
-  struct Shard {
-    std::mutex mu;
-    std::list<Entry> lru;  // front = most recently used
-    // Views into the list nodes' keys; list nodes never move.
-    std::unordered_map<std::string_view, std::list<Entry>::iterator> index;
+    std::vector<Slot> slots;  // ascending by gen, gens unique
     std::size_t bytes = 0;
   };
 
-  Shard& ShardFor(std::string_view key);
-  static std::size_t EntryBytes(std::string_view key);
+  static std::size_t EntryBytes(std::size_t key_size, std::size_t slots);
+  /// Unlinks `it` and subtracts its slots and bytes. Caller holds mu_.
+  void EraseLocked(std::list<Entry>::iterator it);
 
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::size_t entries_per_shard_;
-  std::size_t bytes_per_shard_;
-  std::atomic<std::uint64_t> min_epoch_{0};
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> evictions_{0};
-  std::atomic<std::uint64_t> expired_{0};
+  const std::size_t max_slots_;
+  const std::size_t max_bytes_;
+
+  mutable std::mutex mu_;
+  std::list<Entry> lru_;  // front = most recently used
+  // Views into the list nodes' keys; list nodes never move.
+  std::unordered_map<std::string_view, std::list<Entry>::iterator> index_;
+  std::size_t slots_ = 0;
+  std::size_t bytes_ = 0;
+  std::uint64_t min_epoch_ = 0;
+  Counters totals_;  // hits, misses, evictions, expired
 };
 
 }  // namespace useful::service

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <optional>
+#include <span>
 #include <unordered_set>
 #include <utility>
 
@@ -228,13 +229,13 @@ Status Service::DropEngine(const std::string& engine) {
   std::shared_ptr<const Snapshot> current = GetSnapshot();
   std::unique_ptr<broker::Metasearcher> clone = current->broker->Clone();
   USEFUL_RETURN_IF_ERROR(clone->RemoveEngine(engine));
-  engine_gens_.erase(engine);
+  const std::uint64_t retired = engine_gens_.extract(engine).mapped();
   ++epoch_;
   PublishLocked(std::move(clone));
-  // Publish first, sweep second: once the epoch is raised, a racing Put
+  // Publish first, sweep second: once the epoch is raised, a racing Store
   // computed under the old snapshot is refused, so the sweep is final.
   cache_.SetMinEpoch(epoch_);
-  cache_.ErasePrefix(engine + '\x1f');
+  cache_.EraseGenerations(std::span<const std::uint64_t>(&retired, 1));
   stats_.RecordEnginesDropped(1);
   return Status::OK();
 }
@@ -280,15 +281,17 @@ Status Service::UpdateEngines(const std::string& path,
     USEFUL_RETURN_IF_ERROR(
         clone->RegisterRepresentative(std::move(*loaded.value().rep)));
   }
+  std::vector<std::uint64_t> retired;
+  retired.reserve(touched.size());
   for (const std::string& name : touched) {
-    engine_gens_[name] = next_gen_++;
+    std::uint64_t& gen = engine_gens_.at(name);
+    retired.push_back(gen);
+    gen = next_gen_++;
   }
   ++epoch_;
   PublishLocked(std::move(clone));
   cache_.SetMinEpoch(epoch_);
-  for (const std::string& name : touched) {
-    cache_.ErasePrefix(name + '\x1f');
-  }
+  cache_.EraseGenerations(retired);
   stats_.RecordEnginesUpdated(touched.size());
   return Status::OK();
 }
@@ -409,52 +412,49 @@ Service::Reply Service::DoRank(const Request& request, bool apply_policy,
   const broker::Metasearcher& broker = *snapshot->broker;
   std::size_t n = broker.num_engines();
 
-  // Per-engine cache probe: each engine's estimate lives under its own
-  // (engine, generation, query) key, so a request is part hit / part
-  // miss after a scoped invalidation and only the touched engines are
-  // re-estimated.
+  // One probe for every engine: the query's entry holds each engine's
+  // estimate under the generation it was computed for, so a request is
+  // part hit / part miss after a scoped invalidation and only the
+  // touched engines are re-estimated.
   std::vector<broker::EngineSelection> ranked;
   ranked.reserve(n);
   std::vector<std::size_t> miss_index;
-  std::vector<std::string> miss_keys;
+  std::string query_key;
   {
     obs::Trace::Span cache_span =
         obs::Trace::StartSpan(trace, obs::Stage::kCache);
-    std::string query_key =
+    query_key =
         QueryCache::MakeKey(request.estimator, request.threshold, query);
+    std::vector<std::optional<CachedEstimate>> cached(n);
+    cache_.Lookup(query_key, snapshot->gens, cached);
     for (std::size_t i = 0; i < n; ++i) {
-      std::string key =
-          QueryCache::EngineKey(broker.engine_name(i), snapshot->gens[i],
-                                query_key);
-      std::optional<CachedEstimate> est = cache_.Get(key);
-      if (est.has_value()) {
+      if (cached[i].has_value()) {
         ranked.push_back(broker::EngineSelection{
-            std::string(broker.engine_name(i)), *est});
+            std::string(broker.engine_name(i)), *cached[i]});
       } else {
         miss_index.push_back(i);
-        miss_keys.push_back(std::move(key));
       }
     }
   }
   trace->SetCacheHit(miss_index.empty());
   if (!miss_index.empty()) {
-    std::vector<estimate::UsefulnessEstimate> computed(miss_index.size());
+    std::vector<QueryCache::Slot> computed;
+    computed.reserve(miss_index.size());
     {
       obs::Trace::Span estimate_span =
           obs::Trace::StartSpan(trace, obs::Stage::kEstimate);
-      for (std::size_t k = 0; k < miss_index.size(); ++k) {
-        computed[k] = broker.EstimateEngine(miss_index[k], query,
-                                            request.threshold,
-                                            *estimator.value());
+      for (std::size_t i : miss_index) {
+        computed.push_back(QueryCache::Slot{
+            snapshot->gens[i],
+            broker.EstimateEngine(i, query, request.threshold,
+                                  *estimator.value())});
         ranked.push_back(broker::EngineSelection{
-            std::string(broker.engine_name(miss_index[k])), computed[k]});
+            std::string(broker.engine_name(i)), computed.back().value});
       }
     }
     obs::Trace::Span cache_span =
         obs::Trace::StartSpan(trace, obs::Stage::kCache);
-    for (std::size_t k = 0; k < miss_index.size(); ++k) {
-      cache_.Put(miss_keys[k], computed[k], snapshot->epoch);
-    }
+    cache_.Store(query_key, computed, snapshot->epoch);
   }
   {
     obs::Trace::Span rank_span =

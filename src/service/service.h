@@ -19,10 +19,10 @@
 // *across* requests, not within one.
 //
 // Cache invalidation is scoped: every engine carries a generation that
-// only its own updates bump, and cache keys embed it, so UPDATE/DROP of
-// one engine leaves every other engine's entries live (ADD invalidates
-// nothing). See query_cache.h for the epoch machinery that keeps racing
-// Puts from resurrecting swept entries.
+// only its own updates replace, and each cached estimate is tagged with
+// it, so UPDATE/DROP of one engine leaves every other engine's estimates
+// live (ADD invalidates nothing). See query_cache.h for the epoch
+// machinery that keeps racing Stores from resurrecting swept estimates.
 #pragma once
 
 #include <cstdint>
@@ -98,13 +98,13 @@ class Service : public RequestHandler {
   Status AddEngines(const std::string& path, std::size_t* added_out);
 
   /// DROP: removes one engine by name (NotFound when absent), bumps the
-  /// epoch, and sweeps exactly that engine's cache entries.
+  /// epoch, and sweeps exactly that engine's cached estimates.
   Status DropEngine(const std::string& engine);
 
   /// UPDATE: replaces the representatives of `path`'s engines that are
   /// already registered here (engines in the file but not registered are
   /// ignored — UPDATE never changes the engine set). Touched engines get
-  /// fresh generations and their cache entries swept; untouched engines
+  /// fresh generations and their cached estimates swept; untouched engines
   /// keep serving from cache. `updated_out`, when non-null, receives the
   /// number replaced.
   Status UpdateEngines(const std::string& path, std::size_t* updated_out);
@@ -171,7 +171,7 @@ class Service : public RequestHandler {
   /// building happen under churn_mu_ alone; snapshot_mu_ is only taken
   /// for the pointer swap, so readers never wait on disk.
   std::mutex churn_mu_;
-  /// Per-engine cache-key generations and their allocator. Guarded by
+  /// Per-engine cache generations and their allocator. Guarded by
   /// churn_mu_ (readers see generations only through the snapshot).
   std::unordered_map<std::string, std::uint64_t> engine_gens_;
   std::uint64_t next_gen_ = 0;

@@ -191,10 +191,10 @@ std::vector<std::string> Stats::RenderMetrics(
   b.Counter("useful_cache_evictions_total", "Query cache LRU evictions.",
             cache.evictions);
   b.Counter("useful_cache_expired_generation_total",
-            "Cache entries swept by a scoped invalidation plus Puts "
-            "refused for carrying a retired snapshot epoch.",
+            "Cached engine estimates swept by a scoped invalidation plus "
+            "estimates refused for carrying a retired snapshot epoch.",
             cache.expired);
-  b.Gauge("useful_cache_entries", "Query cache resident entries.",
+  b.Gauge("useful_cache_entries", "Query cache resident engine estimates.",
           static_cast<double>(cache.entries));
   b.Gauge("useful_cache_bytes", "Query cache resident bytes.",
           static_cast<double>(cache.bytes));

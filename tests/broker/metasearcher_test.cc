@@ -333,6 +333,68 @@ TEST_F(StoreBackedBrokerTest, RankingBitIdenticalToQuantizedRepresentatives) {
   }
 }
 
+TEST_F(StoreBackedBrokerTest, EstimateEngineEqualAcrossOwnedAndViewBackings) {
+  // EstimateEngine batch-scores owned (URP1) and view-backed (URPZ)
+  // engines through one path with a reused per-thread workspace; each
+  // estimate must equal the scalar Estimate on the same quantized
+  // statistics, whichever backing served it and whatever ran before it.
+  Metasearcher owned_broker(&analyzer_);
+  std::vector<represent::Representative> owned_reps;
+  for (auto& e : engines_) {
+    auto rep = represent::BuildRepresentative(
+        *e, represent::RepresentativeKind::kQuadruplet);
+    ASSERT_TRUE(rep.ok());
+    auto q = represent::QuantizeRepresentative(rep.value());
+    ASSERT_TRUE(q.ok());
+    owned_reps.push_back(q.value().representative);
+    ASSERT_TRUE(owned_broker
+                    .RegisterRepresentative(
+                        std::move(q).value().representative)
+                    .ok());
+  }
+  Metasearcher view_broker(&analyzer_);
+  auto store = PackEngines();
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_TRUE(view_broker.RegisterStore(store.value()).ok());
+  ASSERT_EQ(view_broker.num_store_engines(), engines_.size());
+
+  // Every registry estimator: the five classes plus subrange-nomax.
+  for (const std::string& name : estimate::KnownEstimators()) {
+    auto est = estimate::MakeEstimator(name);
+    ASSERT_TRUE(est.ok()) << name;
+    for (const char* text :
+         {"football goal oven shared", "football", "shared",
+          "quantum^2 recipe", "shared -football", "particle oven goal MSM 2"}) {
+      auto parsed = ir::ParseAnnotatedQuery(analyzer_, text);
+      ASSERT_TRUE(parsed.ok()) << text;
+      const ir::Query& q = parsed.value();
+      for (double threshold : {0.0, 0.05, 0.2, 0.4, 0.6}) {
+        for (std::size_t i = 0; i < engines_.size(); ++i) {
+          // The store orders engines its own way; pair them up by name.
+          std::size_t j = 0;
+          while (view_broker.engine_name(j) != owned_broker.engine_name(i)) {
+            ASSERT_LT(++j, view_broker.num_engines());
+          }
+          const estimate::UsefulnessEstimate want =
+              est.value()->Estimate(owned_reps[i], q, threshold);
+          const estimate::UsefulnessEstimate owned =
+              owned_broker.EstimateEngine(i, q, threshold, *est.value());
+          const estimate::UsefulnessEstimate view =
+              view_broker.EstimateEngine(j, q, threshold, *est.value());
+          EXPECT_EQ(owned.no_doc, want.no_doc)
+              << name << " '" << text << "' @" << threshold << " #" << i;
+          EXPECT_EQ(owned.avg_sim, want.avg_sim)
+              << name << " '" << text << "' @" << threshold << " #" << i;
+          EXPECT_EQ(view.no_doc, owned.no_doc)
+              << name << " '" << text << "' @" << threshold << " #" << i;
+          EXPECT_EQ(view.avg_sim, owned.avg_sim)
+              << name << " '" << text << "' @" << threshold << " #" << i;
+        }
+      }
+    }
+  }
+}
+
 TEST_F(StoreBackedBrokerTest, RegisterStoreIsAllOrNothingOnDuplicates) {
   // broker_ already holds "sports"/"science"/"cooking"; the packed store
   // repeats them, so registration must fail without adding ANY entry.
